@@ -49,8 +49,8 @@ fn spec(kind: FaultKind, seed: u64) -> FaultSpec {
         .with_fault(NodeId::new(0), kind, Trigger::always(), seed)
         .specs()
         .last()
+        .copied()
         .expect("plan holds the spec just added")
-        .clone()
 }
 
 proptest! {

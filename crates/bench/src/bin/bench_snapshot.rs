@@ -22,7 +22,7 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use std::time::Duration;
 
-use aoft_faults::{FaultyTransport, LinkFault};
+use aoft_faults::{FaultKind, FaultPlan, FaultyTransport, LinkFault, Trigger};
 use aoft_hypercube::NodeId;
 use aoft_net::frame::{decode_frame_body, encode_frame, frame_header, FrameKind};
 use aoft_net::wire::from_bytes;
@@ -31,7 +31,7 @@ use aoft_net::{
     Transport, Wire,
 };
 use aoft_sort::predicates::{bit_compare_stage, bit_compare_stage_with, PredicateScratch};
-use aoft_sort::{Block, LbsBuffer, LbsWire, MergeScratch, Msg};
+use aoft_sort::{Algorithm, Block, LbsBuffer, LbsWire, MergeScratch, Msg, SortBuilder, SortError};
 use aoft_svc::{FleetConfig, FleetRouter, JobSpec, SortService, SvcConfig};
 use serde::{Deserialize, Serialize};
 
@@ -144,9 +144,8 @@ fn take_snapshot(quick: bool) -> Snapshot {
     metrics.insert(
         "predicate_bit_compare".to_string(),
         measure(samples, batch, || {
-            std::hint::black_box(
-                bit_compare_stage(&lbs, &llbs, NodeId::new(0), 5).expect("honest buffers"),
-            );
+            std::hint::black_box(bit_compare_stage(&lbs, &llbs, NodeId::new(0), 5))
+                .expect("honest buffers");
         }),
     );
 
@@ -158,10 +157,14 @@ fn take_snapshot(quick: bool) -> Snapshot {
     metrics.insert(
         "predicate_bit_compare_large".to_string(),
         measure(samples, 10, || {
-            std::hint::black_box(
-                bit_compare_stage_with(&big_lbs, &big_llbs, NodeId::new(0), 5, &mut scratch)
-                    .expect("honest buffers"),
-            );
+            std::hint::black_box(bit_compare_stage_with(
+                &big_lbs,
+                &big_llbs,
+                NodeId::new(0),
+                5,
+                &mut scratch,
+            ))
+            .expect("honest buffers");
         }),
     );
 
@@ -185,6 +188,15 @@ fn take_snapshot(quick: bool) -> Snapshot {
     let (latency, effort) = service_latencies(if quick { 16 } else { 48 });
     metrics.insert("service_job_latency".to_string(), latency);
     metrics.insert("service_job_effort".to_string(), effort);
+
+    // One d = 3 S_FT attempt with a CorruptValue node, from start until Φ
+    // fail-stops it and every node thread has returned: detection plus the
+    // fail-stop reaching the blocked peers. No committed baseline has it,
+    // so `--compare` prints it without gating it.
+    metrics.insert(
+        "failstop_attempt_us".to_string(),
+        failstop_attempt(if quick { 30 } else { 100 }),
+    );
 
     // Reactor transport: one-frame round trip over real loopback sockets
     // multiplexed onto the fixed reactor pool — the per-hop latency cost of
@@ -306,6 +318,31 @@ fn service_latencies(jobs: usize) -> (Metric, Metric) {
     let mut effort_metric = summarize(&mut efforts);
     effort_metric.unit = "ticks".to_string();
     (summarize(&mut timings), effort_metric)
+}
+
+fn failstop_attempt(samples: usize) -> Metric {
+    let keys: Vec<i32> = (0..64i32).map(|x| x.wrapping_mul(-37) % 97).collect();
+    let mut attempt = 0u32;
+    measure(samples, 1, || {
+        let node = NodeId::new(attempt % 8);
+        attempt += 1;
+        let plan = FaultPlan::new().with_fault(
+            node,
+            FaultKind::CorruptValue,
+            Trigger::from_seq(1),
+            u64::from(attempt),
+        );
+        let result = SortBuilder::new(Algorithm::FaultTolerant)
+            .keys(keys.clone())
+            .nodes(8)
+            .recv_timeout(Duration::from_secs(30))
+            .fault_plan(plan)
+            .run();
+        assert!(
+            matches!(result, Err(SortError::Detected { .. })),
+            "a CorruptValue node must fail-stop the attempt: {result:?}"
+        );
+    })
 }
 
 /// Median/p99 of a one-frame ping-pong over a loopback reactor transport:
@@ -748,6 +785,16 @@ fn compare(baseline_path: &str, current_path: &str, threshold: f64, p99_threshol
             cur.p99,
             (p99_ratio - 1.0) * 100.0,
         );
+    }
+    for (name, cur) in &current.metrics {
+        if !baseline.metrics.contains_key(name) {
+            println!(
+                "new  {name}: median {:.2}{unit}, p99 {:.2}{unit} (no baseline, not gated)",
+                cur.median,
+                cur.p99,
+                unit = cur.unit,
+            );
+        }
     }
     if failures > 0 {
         eprintln!(

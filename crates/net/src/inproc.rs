@@ -3,12 +3,12 @@
 
 use std::any::Any;
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam_channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
-use crate::{CancelToken, LinkId, LinkRx, LinkTx, NetError, PollSlices, Transport};
+use crate::{recv_deadline, CancelToken, LinkId, LinkRx, LinkTx, NetError, Transport};
 
 /// Channel-pair registry: each `LinkId` lazily materializes one unbounded
 /// channel whose two endpoints are each claimable exactly once.
@@ -123,29 +123,14 @@ struct InProcRx<M>(Receiver<M>);
 
 impl<M: Send> LinkRx<M> for InProcRx<M> {
     fn recv_deadline(&self, timeout: Duration, cancel: &CancelToken) -> Result<M, NetError> {
-        let deadline = Instant::now() + timeout;
-        let mut slices = PollSlices::new();
-        loop {
-            if cancel.is_cancelled() {
-                return Err(NetError::Cancelled);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(NetError::Timeout { waited: timeout });
-            }
-            let slice = slices.next_slice(deadline - now);
-            match self.0.recv_timeout(slice) {
-                Ok(msg) => return Ok(msg),
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => return Err(NetError::Closed),
-            }
-        }
+        recv_deadline(&self.0, timeout, cancel)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     fn open_pair(transport: &InProc, link: LinkId) -> (Box<dyn LinkTx<u32>>, Box<dyn LinkRx<u32>>) {
         let tx = transport.connect_tx(link, Duration::from_secs(1)).unwrap();

@@ -20,10 +20,10 @@
 //! deadline, and a dead or silent peer yields an error the caller converts
 //! into an executable-assertion violation — never a silent wrong answer.
 //!
-//! Cancellation uses [`CancelToken`], a shared flag every blocked receive
-//! polls at a bounded slice ([`CANCEL_POLL_SLICE`]); when one node
-//! fail-stops the whole machine, peers blocked in `recv` observe it within
-//! one slice regardless of the transport in use.
+//! Cancellation uses [`CancelToken`]: every backend blocks in
+//! [`recv_deadline`], which waits on the link's queue and on the token
+//! together, so when one node fail-stops the whole machine, every peer
+//! blocked in `recv` wakes at once regardless of the transport in use.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,7 +45,7 @@ pub mod wire;
 
 pub use backoff::Backoff;
 pub use cache::LinkCache;
-pub use cancel::{CancelToken, PollSlices, CANCEL_POLL_SLICE, CANCEL_POLL_SLICE_MAX};
+pub use cancel::{recv_deadline, CancelToken};
 pub use error::NetError;
 pub use frame::{FrameKind, FRAME_VERSION, MAX_FRAME_LEN};
 pub use inproc::InProc;

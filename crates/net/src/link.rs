@@ -78,10 +78,10 @@ pub trait LinkTx<M>: Send {
 pub trait LinkRx<M>: Send {
     /// Blocks for the next message, for at most `timeout`.
     ///
-    /// Implementations poll `cancel` on the [`PollSlices`](crate::PollSlices)
-    /// ramp while blocked — never less often than
-    /// [`CANCEL_POLL_SLICE_MAX`](crate::CANCEL_POLL_SLICE_MAX) — so a
-    /// machine-wide fail-stop interrupts the wait promptly.
+    /// Implementations check `cancel` before each receive and wake as soon
+    /// as it fires while blocked — the channel-backed ones through
+    /// [`recv_deadline`](crate::recv_deadline) — so a machine-wide
+    /// fail-stop interrupts the wait at once, even over a queued message.
     ///
     /// # Errors
     ///

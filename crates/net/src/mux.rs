@@ -59,7 +59,7 @@ use crate::reactor::idle_ramp_from_env;
 use crate::tcp::HANDSHAKE_TIMEOUT;
 use crate::timer::TimerWheel;
 use crate::wire::{from_bytes, Wire};
-use crate::{Backoff, CancelToken, LinkId, LinkRx, LinkTx, NetError, PollSlices, Transport};
+use crate::{recv_deadline, Backoff, CancelToken, LinkId, LinkRx, LinkTx, NetError, Transport};
 
 /// Session preamble magic: distinguishes a mux dial from anything else and
 /// versions the session layer (last byte).
@@ -429,24 +429,7 @@ struct MuxRx<M> {
 
 impl<M: Send> LinkRx<M> for MuxRx<M> {
     fn recv_deadline(&self, timeout: Duration, cancel: &CancelToken) -> Result<M, NetError> {
-        let deadline = Instant::now() + timeout;
-        let mut slices = PollSlices::new();
-        loop {
-            if cancel.is_cancelled() {
-                return Err(NetError::Cancelled);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(NetError::Timeout { waited: timeout });
-            }
-            let slice = slices.next_slice(deadline - now);
-            match self.events.recv_timeout(slice) {
-                Ok(Ok(msg)) => return Ok(msg),
-                Ok(Err(err)) => return Err(err),
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => return Err(NetError::Closed),
-            }
-        }
+        recv_deadline(&self.events, timeout, cancel).and_then(|event| event)
     }
 }
 

@@ -9,7 +9,9 @@
 //!
 //! * sockets run nonblocking; each reactor pass pumps every owned link's
 //!   reads and writes until they would block, then sleeps on a short
-//!   adaptive ramp bounded by its [`TimerWheel`]'s next deadline;
+//!   adaptive ramp bounded by its [`TimerWheel`]'s next deadline — a
+//!   sleep that a queued tx frame or a new link ends at once (the
+//!   reactor's doorbell);
 //! * reactor 0 additionally owns the nonblocking listener and a handshake
 //!   state machine that assembles the 9-byte [`LinkId`] preamble
 //!   incrementally before publishing the socket for `connect_rx` to claim;
@@ -24,9 +26,9 @@
 //! The crate forbids `unsafe` and links no FFI, so there is no `epoll`;
 //! readiness is discovered by polling `WouldBlock` on nonblocking sockets.
 //! Under load a reactor hot-loops (no sleep while any link makes progress),
-//! so throughput matches the threaded backend; only the first byte after an
-//! idle period pays up to one idle-sleep slice (bounded by
-//! [`ReactorConfig::idle_sleep_max`]) of latency.
+//! so throughput matches the threaded backend; only the first byte read from
+//! a socket after an idle period pays up to one idle-sleep slice (bounded
+//! by [`ReactorConfig::idle_sleep_max`]) of latency.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
@@ -38,7 +40,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use aoft_obs::LinkCounters;
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam_channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 
 use crate::frame::{
@@ -48,7 +50,7 @@ use crate::pool;
 use crate::tcp::{FailureWatch, PendingSockets, HANDSHAKE_TIMEOUT};
 use crate::timer::{Timer, TimerKind, TimerWheel};
 use crate::wire::{from_bytes, Wire};
-use crate::{Backoff, CancelToken, LinkId, LinkRx, LinkTx, NetError, PollSlices, Transport};
+use crate::{recv_deadline, Backoff, CancelToken, LinkId, LinkRx, LinkTx, NetError, Transport};
 
 /// Default first idle-sleep slice; doubles per idle pass up to
 /// [`ReactorConfig::idle_sleep_max`]. Overridable at runtime via
@@ -152,6 +154,7 @@ pub struct ReactorTransport {
     peers: Mutex<HashMap<u32, SocketAddr>>,
     pending: Arc<PendingSockets>,
     intakes: Vec<Sender<Reg>>,
+    doorbells: Vec<Arc<Doorbell>>,
     shutdown: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
 }
@@ -171,19 +174,23 @@ impl ReactorTransport {
         let shutdown = Arc::new(AtomicBool::new(false));
         let pool_size = config.reactors.max(1);
         let mut intakes = Vec::with_capacity(pool_size);
+        let mut doorbells = Vec::with_capacity(pool_size);
         let mut threads = Vec::with_capacity(pool_size);
         let mut listener = Some(listener);
         for idx in 0..pool_size {
             let (reg_tx, reg_rx) = unbounded::<Reg>();
+            let doorbell = Arc::new(Doorbell::default());
             let ctx = ReactorCtx {
                 config: config.clone(),
                 intake: reg_rx,
+                doorbell: Arc::clone(&doorbell),
                 // Reactor 0 owns the accept + handshake state machine.
                 listener: listener.take(),
                 pending: Arc::clone(&pending),
                 shutdown: Arc::clone(&shutdown),
             };
             intakes.push(reg_tx);
+            doorbells.push(doorbell);
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("aoft-reactor-{idx}"))
@@ -198,6 +205,7 @@ impl ReactorTransport {
             peers: Mutex::new(HashMap::new()),
             pending,
             intakes,
+            doorbells,
             shutdown,
             threads,
         })
@@ -253,6 +261,9 @@ impl std::fmt::Debug for ReactorTransport {
 impl Drop for ReactorTransport {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::Release);
+        for doorbell in &self.doorbells {
+            doorbell.ring();
+        }
         for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
@@ -274,19 +285,22 @@ impl<M: Wire + Send + 'static> Transport<M> for ReactorTransport {
         // reactor.
         stream.write_all(&link.to_handshake())?;
         stream.set_nonblocking(true)?;
+        let reactor = self.reactor_of(link);
         let shared = Arc::new(TxShared {
             queue: Mutex::new(VecDeque::new()),
             space: Condvar::new(),
             cap: self.config.tx_queue_frames.max(1),
             dead: AtomicBool::new(false),
+            doorbell: Arc::clone(&self.doorbells[reactor]),
         });
-        self.intakes[self.reactor_of(link)]
+        self.intakes[reactor]
             .send(Reg::Tx {
                 stream,
                 shared: Arc::clone(&shared),
                 link,
             })
             .map_err(|_| NetError::Closed)?;
+        self.doorbells[reactor].ring();
         Ok(Box::new(ReactorTx {
             shared,
             _marker: PhantomData,
@@ -312,13 +326,15 @@ impl<M: Wire + Send + 'static> Transport<M> for ReactorTransport {
         };
         stream.set_nonblocking(true)?;
         let (events_tx, events) = unbounded::<Result<M, NetError>>();
-        self.intakes[self.reactor_of(link)]
+        let reactor = self.reactor_of(link);
+        self.intakes[reactor]
             .send(Reg::Rx {
                 stream,
                 sink: Box::new(TypedSink { events: events_tx }),
                 link,
             })
             .map_err(|_| NetError::Closed)?;
+        self.doorbells[reactor].ring();
         Ok(Box::new(ReactorRx { events }))
     }
 }
@@ -347,6 +363,35 @@ struct TxShared {
     space: Condvar,
     cap: usize,
     dead: AtomicBool,
+    /// The owning reactor's doorbell, rung on every enqueue.
+    doorbell: Arc<Doorbell>,
+}
+
+/// Ends an idle reactor's sleep as soon as a sender queues a frame or a
+/// link registers, so an outgoing frame never waits out the idle ramp.
+/// Socket reads still rely on the ramp: without `epoll` nothing signals a
+/// readable socket.
+#[derive(Default)]
+struct Doorbell {
+    rung: Mutex<bool>,
+    bell: Condvar,
+}
+
+impl Doorbell {
+    fn ring(&self) {
+        *self.rung.lock() = true;
+        self.bell.notify_one();
+    }
+
+    /// Sleeps for at most `timeout`, or not at all if rung since the last
+    /// wait.
+    fn wait(&self, timeout: Duration) {
+        let mut rung = self.rung.lock();
+        if !*rung {
+            self.bell.wait_for(&mut rung, timeout);
+        }
+        *rung = false;
+    }
 }
 
 impl TxShared {
@@ -386,12 +431,15 @@ impl<M: Wire + Send> LinkTx<M> for ReactorTx<M> {
             return Err(NetError::Closed);
         }
         queue.push_back(TxCmd::Frame { header, payload });
+        drop(queue);
+        self.shared.doorbell.ring();
         Ok(())
     }
 
     fn close(&self) {
         // Bye bypasses the cap: close must never block.
         self.shared.queue.lock().push_back(TxCmd::Bye);
+        self.shared.doorbell.ring();
     }
 }
 
@@ -401,24 +449,7 @@ struct ReactorRx<M> {
 
 impl<M: Send> LinkRx<M> for ReactorRx<M> {
     fn recv_deadline(&self, timeout: Duration, cancel: &CancelToken) -> Result<M, NetError> {
-        let deadline = Instant::now() + timeout;
-        let mut slices = PollSlices::new();
-        loop {
-            if cancel.is_cancelled() {
-                return Err(NetError::Cancelled);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(NetError::Timeout { waited: timeout });
-            }
-            let slice = slices.next_slice(deadline - now);
-            match self.events.recv_timeout(slice) {
-                Ok(Ok(msg)) => return Ok(msg),
-                Ok(Err(err)) => return Err(err),
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => return Err(NetError::Closed),
-            }
-        }
+        recv_deadline(&self.events, timeout, cancel).and_then(|event| event)
     }
 }
 
@@ -567,6 +598,7 @@ enum Pump {
 struct ReactorCtx {
     config: ReactorConfig,
     intake: Receiver<Reg>,
+    doorbell: Arc<Doorbell>,
     listener: Option<TcpListener>,
     pending: Arc<PendingSockets>,
     shutdown: Arc<AtomicBool>,
@@ -736,7 +768,7 @@ impl ReactorCtx {
                     sleep = sleep.min(deadline.saturating_duration_since(Instant::now()));
                 }
                 if !sleep.is_zero() {
-                    std::thread::sleep(sleep);
+                    self.doorbell.wait(sleep);
                 }
             }
         }
@@ -1104,10 +1136,9 @@ mod tests {
         }
     }
 
-    fn open_pair(
-        transport: &ReactorTransport,
-        link: LinkId,
-    ) -> (Box<dyn LinkTx<Vec<u32>>>, Box<dyn LinkRx<Vec<u32>>>) {
+    type Pair = (Box<dyn LinkTx<Vec<u32>>>, Box<dyn LinkRx<Vec<u32>>>);
+
+    fn open_pair(transport: &ReactorTransport, link: LinkId) -> Pair {
         let tx = transport.connect_tx(link, Duration::from_secs(2)).unwrap();
         let rx = transport.connect_rx(link, Duration::from_secs(2)).unwrap();
         (tx, rx)

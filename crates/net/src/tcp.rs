@@ -41,7 +41,7 @@ use crate::frame::{
 };
 use crate::pool;
 use crate::wire::{from_bytes, Wire};
-use crate::{Backoff, CancelToken, LinkId, LinkRx, LinkTx, NetError, PollSlices, Transport};
+use crate::{recv_deadline, Backoff, CancelToken, LinkId, LinkRx, LinkTx, NetError, Transport};
 
 /// How long the reader blocks in one `read` call before re-checking the
 /// silence clock. Bounds failure-detection granularity, not throughput.
@@ -386,24 +386,7 @@ struct TcpRx<M> {
 
 impl<M: Send> LinkRx<M> for TcpRx<M> {
     fn recv_deadline(&self, timeout: Duration, cancel: &CancelToken) -> Result<M, NetError> {
-        let deadline = Instant::now() + timeout;
-        let mut slices = PollSlices::new();
-        loop {
-            if cancel.is_cancelled() {
-                return Err(NetError::Cancelled);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(NetError::Timeout { waited: timeout });
-            }
-            let slice = slices.next_slice(deadline - now);
-            match self.events.recv_timeout(slice) {
-                Ok(Ok(msg)) => return Ok(msg),
-                Ok(Err(err)) => return Err(err),
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => return Err(NetError::Closed),
-            }
-        }
+        recv_deadline(&self.events, timeout, cancel).and_then(|event| event)
     }
 }
 
@@ -558,10 +541,9 @@ mod tests {
         }
     }
 
-    fn open_pair(
-        transport: &TcpTransport,
-        link: LinkId,
-    ) -> (Box<dyn LinkTx<Vec<u32>>>, Box<dyn LinkRx<Vec<u32>>>) {
+    type Pair = (Box<dyn LinkTx<Vec<u32>>>, Box<dyn LinkRx<Vec<u32>>>);
+
+    fn open_pair(transport: &TcpTransport, link: LinkId) -> Pair {
         let tx = transport.connect_tx(link, Duration::from_secs(2)).unwrap();
         let rx = transport.connect_rx(link, Duration::from_secs(2)).unwrap();
         (tx, rx)

@@ -17,8 +17,8 @@ use crate::program::Program;
 use crate::trace::{Event, Trace};
 use crate::SimConfig;
 
-// The machine-wide fail-stop token now lives in the transport layer, where
-// every blocked receive — channel or socket — polls it.
+// The machine-wide fail-stop token lives in the transport layer, where
+// every blocked receive — channel or socket — waits on it.
 pub(crate) use aoft_net::CancelToken;
 
 /// How long link establishment may block per endpoint. Instant for

@@ -13,6 +13,16 @@ use crate::time::{CostModel, Ticks};
 use crate::trace::{Event, EventKind};
 use crate::HOST_ID;
 
+/// A receive waits `timeout / STEP_GRACE_DIVISOR` longer for each message
+/// its node has already received.
+///
+/// All nodes follow one schedule, so a node's receive count is its schedule
+/// step. A waiter one step downstream of a starved receive starts its clock
+/// later in a healthy schedule, but thread scheduling can start it first;
+/// the grace keeps its deadline behind the upstream one by far more than
+/// that skew. Reported `waited` values stay the configured timeout.
+pub(crate) const STEP_GRACE_DIVISOR: u32 = 16;
+
 /// The runtime interface a node program sees: its identity, its links, its
 /// virtual clock and the error-signalling path to the host.
 ///
@@ -229,6 +239,13 @@ impl<'a, M: Payload> NodeCtx<'a, M> {
     /// `src` is [`HOST_ID`]), synchronizing the local clock with the
     /// message's availability time.
     ///
+    /// The wait is the configured timeout plus a step grace (`timeout / 16`)
+    /// for every message this node has already received, so a receive later
+    /// in the schedule never expires before an earlier-step receive that
+    /// starved it: the node next to a silent peer times out first and names
+    /// it, and the fail-stop it signals wakes the downstream waiters before
+    /// their own deadlines.
+    ///
     /// # Errors
     ///
     /// * [`SimError::MissingMessage`] — nothing arrived within the timeout
@@ -238,10 +255,14 @@ impl<'a, M: Payload> NodeCtx<'a, M> {
     /// * [`SimError::NotANeighbor`] — `src` is neither a neighbor nor the
     ///   host.
     pub fn recv_from(&mut self, src: NodeId) -> Result<M, SimError> {
+        let step = u32::try_from(self.metrics.msgs_received).unwrap_or(u32::MAX);
+        let wait = self
+            .timeout
+            .saturating_add((self.timeout / STEP_GRACE_DIVISOR).saturating_mul(step));
         if src == HOST_ID {
             let packet = self
                 .host_rx
-                .recv_deadline(self.timeout, &self.cancel)
+                .recv_deadline(wait, &self.cancel)
                 .map_err(|err| map_net_error(err, src, self.timeout))?;
             return Ok(self.accept(packet));
         }
@@ -258,7 +279,7 @@ impl<'a, M: Payload> NodeCtx<'a, M> {
         // abandoned mid-flight by a fail-stopped run may still be queued.
         // Consuming it as current data would be a silent wrong answer; the
         // job tag makes staleness detectable (receiver-side, assumption 4).
-        let deadline = std::time::Instant::now() + self.timeout;
+        let deadline = std::time::Instant::now() + wait;
         loop {
             let remaining = deadline.saturating_duration_since(std::time::Instant::now());
             let packet = self.in_links[dim as usize]

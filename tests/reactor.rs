@@ -149,7 +149,7 @@ fn cancel_interrupts_reactor_recv_under_live_timers() {
     );
     assert!(
         start.elapsed() < Duration::from_secs(5),
-        "cancel took {:?}; the poll ramp is broken",
+        "cancel took {:?}; the fail-stop did not wake the blocked receive",
         start.elapsed()
     );
 }
